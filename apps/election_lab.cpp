@@ -3,7 +3,7 @@
 // The paper's whole experimental methodology in one binary — pick an
 // algorithm, a fault environment and an FD QoS, and get the §5 metrics.
 //
-//   election_lab --alg=s3 --nodes=12 --loss=0.1 --delay-ms=100 \
+//   election_lab --alg=s3 --nodes=12 --loss=0.1 --delay-ms=100
 //                --minutes=60 --churn-uptime=600 --tud-ms=1000
 //   election_lab --alg=s2 --link-crash-uptime=60 --link-crash-downtime=3
 //   election_lab --list          (show every flag and its default)

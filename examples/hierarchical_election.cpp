@@ -29,6 +29,11 @@ namespace {
 constexpr std::size_t kRegions = 3;
 constexpr std::size_t kNodes = 9;
 
+node_id nid(std::size_t i) { return node_id{static_cast<std::uint32_t>(i)}; }
+process_id pid(std::size_t i) {
+  return process_id{static_cast<std::uint32_t>(i)};
+}
+
 struct node_state {
   std::unique_ptr<service::leader_election_service> svc;
   std::unique_ptr<hierarchy::hierarchy_coordinator> coord;
@@ -45,24 +50,24 @@ int main() {
       hierarchy::topology::two_tier(kNodes, kRegions);
 
   std::vector<node_id> roster;
-  for (std::size_t i = 0; i < kNodes; ++i) roster.push_back(node_id{i});
+  for (std::size_t i = 0; i < kNodes; ++i) roster.push_back(nid(i));
 
   std::vector<node_state> nodes(kNodes);
   for (std::size_t i = 0; i < kNodes; ++i) {
     node_state& st = nodes[i];
 
     service::service_config cfg;
-    cfg.self = node_id{i};
+    cfg.self = nid(i);
     cfg.roster = roster;
     st.svc = std::make_unique<service::leader_election_service>(
-        sim, sim, net.endpoint(node_id{i}), cfg);
+        sim, sim, net.endpoint(nid(i)), cfg);
 
     // The coordinator registers the pid, joins region + global groups and
     // handles promotion/demotion; the callback just narrates promotions.
     // (It can fire during construction, so it must not touch st.coord.)
-    const std::size_t region = topo.region_of(node_id{i});
+    const std::size_t region = topo.region_of(nid(i));
     st.coord = std::make_unique<hierarchy::hierarchy_coordinator>(
-        *st.svc, topo, process_id{i}, hierarchy::coordinator_options{},
+        *st.svc, topo, pid(i), hierarchy::coordinator_options{},
         [&sim, i, region](std::size_t tier, std::optional<process_id> leader) {
           if (tier != 0 || !leader.has_value()) return;
           if (leader->value() == i) {
@@ -113,7 +118,7 @@ int main() {
   }
   const std::size_t victim = global_leader->value();
   std::cout << "-- crashing global leader (node " << victim << ")\n";
-  net.set_node_alive(node_id{victim}, false);
+  net.set_node_alive(nid(victim), false);
   nodes[victim].coord.reset();  // crash: no goodbyes
   nodes[victim].svc.reset();
 

@@ -16,6 +16,12 @@
 
 using namespace omega;
 
+namespace {
+
+node_id nid(std::size_t i) { return node_id{static_cast<std::uint32_t>(i)}; }
+
+}  // namespace
+
 int main() {
   constexpr std::size_t kNodes = 5;
   const group_id kGroup{1};
@@ -25,7 +31,7 @@ int main() {
   net::sim_network net(sim, kNodes, net::link_profile::lan(), rng{2024});
 
   std::vector<node_id> roster;
-  for (std::size_t i = 0; i < kNodes; ++i) roster.push_back(node_id{i});
+  for (std::size_t i = 0; i < kNodes; ++i) roster.push_back(nid(i));
 
   // One service instance per workstation, one application process on each.
   std::vector<std::unique_ptr<service::leader_election_service>> services;

@@ -28,6 +28,8 @@ namespace {
 constexpr std::size_t kNodes = 5;
 const group_id kGroup{7};
 
+node_id nid(std::size_t i) { return node_id{static_cast<std::uint32_t>(i)}; }
+
 /// One replica: an application process colocated with a service instance.
 /// Replicas exchange REPLICATE messages on their own little port — the
 /// election service does not (and should not) carry application traffic.
@@ -98,7 +100,7 @@ int main() {
                        rng{7});
 
   std::vector<node_id> roster;
-  for (std::size_t i = 0; i < kNodes; ++i) roster.push_back(node_id{i});
+  for (std::size_t i = 0; i < kNodes; ++i) roster.push_back(nid(i));
 
   std::vector<std::unique_ptr<service::leader_election_service>> services;
   std::vector<std::unique_ptr<replica>> replicas;
@@ -154,7 +156,7 @@ int main() {
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     if (replicas[i] && replicas[i]->is_leader()) {
       std::cout << "    crashing node " << i << "\n";
-      net.set_node_alive(node_id{i}, false);
+      net.set_node_alive(nid(i), false);
       // Remove the dead replica from the peer list (its memory lives on,
       // modelling a crashed process that no longer participates).
       peers.erase(std::remove(peers.begin(), peers.end(), replicas[i].get()),

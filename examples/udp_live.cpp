@@ -4,8 +4,7 @@
 // The paper's implementation ran as a C daemon over UDP on a LAN. This
 // example runs three unmodified service instances on localhost — all
 // hosted on a two-loop `runtime::loop_pool`, each with its own batched
-// `loop_udp_transport` socket (DESIGN.md §10) instead of the historical
-// one-engine-plus-two-threads per workstation — elects a leader in real
+// `loop_udp_transport` socket (DESIGN.md §10) — elects a leader in real
 // time, kills the leader's instance on its live loop, and watches the
 // survivors re-elect within the FD detection bound.
 //
@@ -16,7 +15,7 @@
 // /metrics page now also carries the runtime families (send-error classes,
 // queue backpressure, per-loop syscall counters) next to the service
 // counters. At the end the merged rings are rebuilt into a causal DAG on
-// the wall timeline (no shared engine clock exists between the instances)
+// the wall timeline (no shared loop clock exists between the instances)
 // and the run fails unless >= 95% of the failover's events link back to
 // root-cause evidence about the victim — the same forensics gate the sim
 // harness enforces, on a real-UDP run.
@@ -42,7 +41,6 @@
 #include "obs/trace.hpp"
 #include "runtime/event_loop.hpp"
 #include "runtime/loop_transport.hpp"
-#include "runtime/real_time.hpp"
 #include "service/service.hpp"
 
 using namespace omega;

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# One-command pipeline: tier-1 verify (configure + build + ctest), the same
-# test suite under ASan+UBSan, plus a bench smoke run whose JSON artifacts
-# are validated. Mirrors the "Tier-1 verify" line in ROADMAP.md.
+# One-command pipeline: tier-1 verify (configure + warning-free build +
+# ctest), the same test suite under ASan+UBSan, the threaded suites under
+# TSan, plus a bench smoke run whose JSON artifacts are validated. Mirrors
+# the "Tier-1 verify" line in ROADMAP.md.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-cmake -B build -S .
+# -Werror: the tree builds with zero warnings under -Wall -Wextra; keep it so.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
@@ -15,6 +17,14 @@ cmake --build build -j
 cmake -B build-asan -S . -DOMEGA_SANITIZE=address,undefined
 cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
+
+# ThreadSanitizer pass over the suites that run real threads (event loops,
+# the HTTP endpoint's accept thread, services driven from a loop): fatal on
+# the first reported race.
+cmake -B build-tsan -S . -DOMEGA_SANITIZE=thread
+cmake --build build-tsan -j
+(cd build-tsan && TSAN_OPTIONS=halt_on_error=1 \
+  ctest -R '^(runtime|obs|service)_' --output-on-failure -j"$(nproc)")
 
 # Bench smoke: a fast sanity pass over the figure machinery, then the
 # extension figures (BENCH_adaptive.json + BENCH_perlink.json +

@@ -3,7 +3,8 @@
 // The service exchanges small datagrams (ALIVE, HELLO, ACCUSE, ...) between
 // workstations. `transport` is the only way protocol code touches the
 // network, so the same service runs over the simulated network
-// (`net::sim_network`) or over real UDP sockets (`runtime::udp_transport`).
+// (`net::sim_network`) or over real UDP sockets
+// (`runtime::loop_udp_transport`).
 // Datagram semantics match UDP: unordered, unreliable, no connection state.
 #pragma once
 

@@ -42,11 +42,12 @@ bool http_endpoint::start(std::uint16_t port) {
 void http_endpoint::stop() {
   if (listen_fd_ < 0) return;
   // shutdown() wakes the blocked accept(); close() alone does not reliably
-  // on all platforms.
+  // on all platforms. Close only after the join: closing first would let a
+  // newly opened fd reuse the number under the still-blocked accept thread.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
   port_ = 0;
 }
 

@@ -26,7 +26,7 @@
 #include "metrics/group_metrics.hpp"
 #include "net/link_model.hpp"
 #include "net/sim_network.hpp"
-#include "runtime/real_time.hpp"
-#include "runtime/udp_transport.hpp"
+#include "runtime/event_loop.hpp"
+#include "runtime/loop_transport.hpp"
 #include "service/service.hpp"
 #include "sim/simulator.hpp"

@@ -1,6 +1,6 @@
 // Shared address plumbing of the real-socket runtime: roster endpoints,
 // sockaddr conversion, the (addr, port) -> node classification key, and the
-// per-transport I/O error accounting both UDP transports export through the
+// per-transport I/O error accounting the UDP transport exports through the
 // observability registry (obs/runtime_export.hpp).
 #pragma once
 

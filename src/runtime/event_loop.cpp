@@ -46,8 +46,8 @@ event_loop::event_loop(options opts)
   ev.events = EPOLLIN;
   ev.data.fd = wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-  rx_buf_.resize(opts_.batch * rx_slot_bytes);
-  rx_addrs_.resize(opts_.batch);
+  rx_buf_.resize(batch * rx_slot_bytes);
+  rx_addrs_.resize(batch);
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -195,7 +195,7 @@ void event_loop::run_due_timers() {
       std::lock_guard lock(mu_);
       if (timers_.empty()) return;
       auto it = timers_.begin();
-      if (it->first > now() + opts_.timer_slack) return;
+      if (it->first > now() + timer_slack) return;
       fn = std::move(it->second.fn);
       timers_.erase(it);
     }

@@ -1,14 +1,10 @@
 // Shared epoll driver: one loop thread hosting many service instances.
 //
-// The original real-socket runtime paired every `udp_transport` with its own
-// blocking-recvfrom thread and every service with its own
-// `real_time_engine` loop thread — two threads per service instance, which
-// caps "hundreds of services on one box" long before the protocol does. An
-// `event_loop` collapses both onto one epoll-driven thread: it implements
-// the `clock_source`/`timer_service` pair the protocol stack is written
-// against *and* owns the UDP sockets of every `loop_udp_transport`
-// registered with it, so N services cost one thread, one epoll fd and one
-// timer wheel instead of 2N threads.
+// An `event_loop` implements the `clock_source`/`timer_service` pair the
+// protocol stack is written against *and* owns the UDP sockets of every
+// `loop_udp_transport` registered with it, so N services cost one thread,
+// one epoll fd and one timer wheel instead of a receive thread and a timer
+// thread each.
 //
 // Syscall batching (DESIGN.md §10): in batched mode (the default) outbound
 // datagrams are not written with one sendto(2) each. Every transport keeps
@@ -23,14 +19,14 @@
 // their datagrams arriving in recvmmsg-sized bursts.
 //
 // Threading: everything protocol-visible (timers, receive handlers, sends,
-// the payload pool) runs on the loop thread, exactly like one
-// `real_time_engine` — services sharing a loop share its thread and are
-// never concurrent with each other. `post`/`sync` are the only
-// thread-safe entry points.
+// the payload pool) runs on the loop thread — services sharing a loop
+// share its thread and are never concurrent with each other. `post`/`sync`
+// are the only thread-safe entry points.
 #pragma once
 
 #include <netinet/in.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -47,6 +43,19 @@
 #include "net/shared_payload.hpp"
 
 namespace omega::runtime {
+
+/// Raw monotonic wall clock in microseconds (std::chrono::steady_clock,
+/// no per-loop epoch). Loops' `now()` timelines each start at their own
+/// construction instant and are NOT comparable across loops; this is, for
+/// all loops and threads of one host. Deployments install it as the
+/// observability sink's wall-clock source (sink::set_wall_clock) so trace
+/// events carry the dual timestamp the causal DAG's cross-node skew check
+/// needs.
+[[nodiscard]] inline std::int64_t monotonic_wall_us() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 class loop_udp_transport;
 
@@ -85,13 +94,14 @@ class event_loop final : public clock_source, public timer_service {
     /// every receive a single recvfrom(2) — today's one-syscall-per-
     /// datagram model, kept as the measurable control in fig14_live.
     bool batching = true;
-    /// Max datagrams per sendmmsg/recvmmsg call (and per rx buffer array).
-    std::size_t batch = 64;
-    /// Timers due within this much of a wakeup fire on it. Clusters the
-    /// heartbeat ticks of services sharing the loop so their fan-outs
-    /// coalesce; sub-millisecond, far inside any FD safety margin.
-    duration timer_slack = usec(500);
   };
+
+  /// Max datagrams per sendmmsg/recvmmsg call (and per rx buffer array).
+  static constexpr std::size_t batch = 64;
+  /// Timers due within this much of a wakeup fire on it. Clusters the
+  /// heartbeat ticks of services sharing the loop so their fan-outs
+  /// coalesce; sub-millisecond, far inside any FD safety margin.
+  static constexpr duration timer_slack = usec(500);
 
   explicit event_loop(options opts);
   event_loop() : event_loop(options{}) {}
@@ -101,7 +111,7 @@ class event_loop final : public clock_source, public timer_service {
   event_loop& operator=(const event_loop&) = delete;
 
   /// Monotonic time since loop start (every service on the loop shares
-  /// this timeline, like siblings on one `real_time_engine`).
+  /// this timeline).
   [[nodiscard]] time_point now() const override;
 
   timer_id schedule_at(time_point when, unique_task fn) override;

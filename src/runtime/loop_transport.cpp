@@ -53,7 +53,7 @@ loop_udp_transport::loop_udp_transport(event_loop& loop, node_id self,
   ::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   bound_port_ = ntohs(bound.sin_port);
 
-  queue_.reserve(loop_.opts().batch);
+  queue_.reserve(event_loop::batch);
   set_roster(std::move(roster));
   loop_.add_socket(fd_, this);
 }
@@ -158,12 +158,11 @@ void loop_udp_transport::enqueue(const sockaddr_in& to,
 
 void loop_udp_transport::flush() {
   if (queue_.empty()) return;
-  const std::size_t batch = std::min<std::size_t>(loop_.opts().batch, 64);
   std::size_t done = 0;
   while (done < queue_.size()) {
-    const std::size_t n = std::min(batch, queue_.size() - done);
-    mmsghdr msgs[64];
-    iovec iovs[64];
+    const std::size_t n = std::min(event_loop::batch, queue_.size() - done);
+    mmsghdr msgs[event_loop::batch];
+    iovec iovs[event_loop::batch];
     for (std::size_t i = 0; i < n; ++i) {
       pending& p = queue_[done + i];
       const std::span<const std::byte> bytes = p.payload.bytes();
@@ -221,11 +220,10 @@ void loop_udp_transport::drain_rx() {
               false);
     }
   }
-  const std::size_t batch = std::min<std::size_t>(loop_.opts().batch, 64);
   for (;;) {
-    mmsghdr msgs[64];
-    iovec iovs[64];
-    const std::size_t n = batch;
+    mmsghdr msgs[event_loop::batch];
+    iovec iovs[event_loop::batch];
+    const std::size_t n = event_loop::batch;
     for (std::size_t i = 0; i < n; ++i) {
       iovs[i].iov_base = loop_.rx_buf_.data() + i * event_loop::rx_slot_bytes;
       iovs[i].iov_len = event_loop::rx_slot_bytes;

@@ -172,6 +172,8 @@ std::string param_name(const ::testing::TestParamInfo<param>& info) {
     case algorithm::omega_id: name = "S1"; break;
     case algorithm::omega_lc: name = "S2"; break;
     case algorithm::omega_l: name = "S3"; break;
+    case algorithm::omega_lc_noforward: name = "S2_noforward"; break;
+    case algorithm::omega_l_nophase: name = "S3_nophase"; break;
   }
   return name + "_seed" + std::to_string(seed);
 }

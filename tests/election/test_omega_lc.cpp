@@ -358,7 +358,7 @@ TEST(OmegaLc, StabilityScoreTakenOncePerCandidatePerEvaluation) {
   EXPECT_EQ(payload.local_leader, p2);
   EXPECT_EQ(calls, 3u);  // fill_payload reused the cached stage-1 result
 
-  e.evaluate();
+  (void)e.evaluate();
   EXPECT_EQ(calls, 6u);  // each evaluation scores once per candidate
 }
 

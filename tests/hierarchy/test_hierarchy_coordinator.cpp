@@ -52,7 +52,9 @@ TEST(HierarchyCoordinator, SettlesOnGlobalLeaderWithRegionalCandidateSet) {
     EXPECT_EQ(coord->candidate_at(1), *region_leader == coord->pid());
     if (coord->candidate_at(1)) ++global_candidates;
     // The global leader must itself be a regional leader.
-    if (*global == coord->pid()) EXPECT_TRUE(coord->candidate_at(1));
+    if (*global == coord->pid()) {
+      EXPECT_TRUE(coord->candidate_at(1));
+    }
   }
   EXPECT_EQ(global_candidates, 3u);
 }

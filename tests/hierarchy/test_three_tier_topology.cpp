@@ -35,7 +35,9 @@ TEST(ThreeTierTopology, SameZoneIffSameCoarsenedRegion) {
       EXPECT_EQ(same_zone, topo.group_index(node_id{a}, 1) ==
                                topo.group_index(node_id{b}, 1));
       // Nodes of one region never straddle a zone boundary.
-      if (topo.same_region(node_id{a}, node_id{b})) EXPECT_TRUE(same_zone);
+      if (topo.same_region(node_id{a}, node_id{b})) {
+        EXPECT_TRUE(same_zone);
+      }
     }
   }
 }

@@ -12,35 +12,40 @@
 namespace omega::service {
 namespace {
 
+node_id nid(std::size_t i) { return node_id{static_cast<std::uint32_t>(i)}; }
+process_id pid(std::size_t i) {
+  return process_id{static_cast<std::uint32_t>(i)};
+}
+
 const group_id fast_group{1};   // tight FD QoS
 const group_id slow_group{2};   // loose FD QoS
 
 struct multi_cluster {
   explicit multi_cluster(std::size_t n) : net(sim, n, net::link_profile::lan(), rng{31}) {
-    for (std::size_t i = 0; i < n; ++i) roster.push_back(node_id{i});
+    for (std::size_t i = 0; i < n; ++i) roster.push_back(nid(i));
     for (std::size_t i = 0; i < n; ++i) {
       service_config cfg;
-      cfg.self = node_id{i};
+      cfg.self = nid(i);
       cfg.roster = roster;
       cfg.alg = election::algorithm::omega_lc;
       services.push_back(std::make_unique<leader_election_service>(
-          sim, sim, net.endpoint(node_id{i}), cfg));
+          sim, sim, net.endpoint(nid(i)), cfg));
       auto& svc = *services.back();
-      svc.register_process(process_id{i});
+      svc.register_process(pid(i));
 
       join_options fast;
       fast.qos.detection_time = msec(300);
-      svc.join_group(process_id{i}, fast_group, fast);
+      svc.join_group(pid(i), fast_group, fast);
 
       join_options slow;
       slow.qos.detection_time = sec(2);
-      svc.join_group(process_id{i}, slow_group, slow);
+      svc.join_group(pid(i), slow_group, slow);
     }
     sim.run_until(sim.now() + sec(10));
   }
 
   void crash(std::size_t i) {
-    net.set_node_alive(node_id{i}, false);
+    net.set_node_alive(nid(i), false);
     services[i].reset();
   }
 
@@ -100,7 +105,7 @@ TEST(MultiGroup, HeartbeatRateFollowsTightestGroup) {
 
   // Leaving the fast group everywhere relaxes the shared rate.
   for (std::size_t i = 0; i < 2; ++i) {
-    c.services[i]->leave_group(process_id{i}, fast_group);
+    c.services[i]->leave_group(pid(i), fast_group);
   }
   c.sim.run_until(c.sim.now() + sec(60));
   EXPECT_GT(c.services[0]->current_eta(), msec(150))
@@ -111,22 +116,22 @@ TEST(MultiGroup, DisjointCandidateSetsYieldDifferentLeaders) {
   sim::simulator sim;
   net::sim_network net(sim, 4, net::link_profile::lan(), rng{32});
   std::vector<node_id> roster;
-  for (std::size_t i = 0; i < 4; ++i) roster.push_back(node_id{i});
+  for (std::size_t i = 0; i < 4; ++i) roster.push_back(nid(i));
   std::vector<std::unique_ptr<leader_election_service>> services;
   for (std::size_t i = 0; i < 4; ++i) {
     service_config cfg;
-    cfg.self = node_id{i};
+    cfg.self = nid(i);
     cfg.roster = roster;
     cfg.alg = election::algorithm::omega_l;
     services.push_back(std::make_unique<leader_election_service>(
-        sim, sim, net.endpoint(node_id{i}), cfg));
-    services.back()->register_process(process_id{i});
+        sim, sim, net.endpoint(nid(i)), cfg));
+    services.back()->register_process(pid(i));
     join_options a;
     a.candidate = i < 2;  // group 1: candidates {0, 1}
-    services.back()->join_group(process_id{i}, group_id{1}, a);
+    services.back()->join_group(pid(i), group_id{1}, a);
     join_options b;
     b.candidate = i >= 2;  // group 2: candidates {2, 3}
-    services.back()->join_group(process_id{i}, group_id{2}, b);
+    services.back()->join_group(pid(i), group_id{2}, b);
   }
   sim.run_until(sim.now() + sec(10));
 

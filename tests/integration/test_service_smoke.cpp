@@ -102,6 +102,10 @@ std::string algorithm_name(const ::testing::TestParamInfo<election::algorithm>& 
       return "S2_omega_lc";
     case election::algorithm::omega_l:
       return "S3_omega_l";
+    case election::algorithm::omega_lc_noforward:
+      return "S2_omega_lc_noforward";
+    case election::algorithm::omega_l_nophase:
+      return "S3_omega_l_nophase";
   }
   return "unknown";
 }

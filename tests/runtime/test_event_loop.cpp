@@ -1,6 +1,7 @@
-// Shared event-loop driver tests: timer/post/sync semantics, then the
-// scale-out integration — many real services on ONE loop thread over real
-// UDP sockets electing, losing and re-electing a leader, plus the teardown
+// Shared event-loop driver tests: timer/post/sync semantics (including
+// cross-thread posting and self-re-arming timers), then the scale-out
+// integration — many real services on ONE loop thread over real UDP
+// sockets electing, losing and re-electing a leader, plus the teardown
 // edge cases (transport destroyed mid-traffic, port-0 rebind).
 //
 // Every wait is wall-clock bounded: a hang fails the test instead of the
@@ -9,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -85,28 +87,39 @@ TEST(EventLoop, CancelPreventsFiring) {
   EXPECT_FALSE(cancelled_ran.load());
 }
 
+TEST(EventLoop, CancelUnknownIdIsSafe) {
+  event_loop loop;
+  std::atomic<bool> ran{false};
+  loop.sync([&] {
+    loop.cancel(timer_id{123456});  // never issued: must not crash or hang
+    loop.schedule_after(msec(5), [&] { ran.store(true); });
+  });
+  loop.cancel(timer_id{654321});  // and likewise from another thread
+  EXPECT_TRUE(wait_until([&] { return ran.load(); }, 2000ms));
+}
+
 TEST(EventLoop, TimerSlackClustersDueTimers) {
   // Two timers within the slack window of each other run on the same
   // wakeup — the alignment that keeps co-scheduled heartbeats batched.
-  event_loop::options opts;
-  opts.timer_slack = msec(5);
-  event_loop loop(opts);
+  static_assert(event_loop::timer_slack == usec(500));
+  event_loop loop;
   std::atomic<int> fired{0};
   std::uint64_t iter_first = 0;
   std::uint64_t iter_second = 0;
   loop.sync([&] {
-    loop.schedule_after(msec(20), [&] {
+    const time_point first = loop.now() + msec(20);
+    loop.schedule_at(first, [&] {
       iter_first = loop.stats_snapshot().iterations;
       fired.fetch_add(1);
     });
-    loop.schedule_after(msec(22), [&] {
+    loop.schedule_at(first + usec(200), [&] {
       iter_second = loop.stats_snapshot().iterations;
       fired.fetch_add(1);
     });
   });
   ASSERT_TRUE(wait_until([&] { return fired.load() == 2; }, 2000ms));
   EXPECT_EQ(iter_first, iter_second)
-      << "timers 2ms apart (slack 5ms) should fire on one loop iteration";
+      << "timers 200us apart (slack 500us) should fire on one loop iteration";
 }
 
 TEST(EventLoop, PostRunsOnLoopThread) {
@@ -119,6 +132,34 @@ TEST(EventLoop, PostRunsOnLoopThread) {
   });
   ASSERT_TRUE(wait_until([&] { return ran.load(); }, 2000ms));
   EXPECT_TRUE(on_loop);
+}
+
+TEST(EventLoop, PostFromManyThreads) {
+  event_loop loop;
+  std::atomic<int> count{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 50; ++i) {
+        loop.post([&] { count.fetch_add(1); });
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_TRUE(wait_until([&] { return count.load() == 200; }, 2000ms));
+}
+
+TEST(EventLoop, TimerCanRearmItself) {
+  event_loop loop;
+  std::atomic<int> fires{0};
+  std::function<void()> tick = [&] {
+    if (fires.fetch_add(1) < 4) loop.schedule_after(msec(5), tick);
+  };
+  loop.sync([&] { loop.schedule_after(msec(5), tick); });
+  const bool done = wait_until([&] { return fires.load() >= 5; }, 2000ms);
+  loop.stop();  // before `tick` goes out of scope
+  ASSERT_TRUE(done);
+  EXPECT_EQ(fires.load(), 5);
 }
 
 TEST(EventLoop, SyncRunsInlineOnLoopThread) {

@@ -1,11 +1,13 @@
 // Batched loop transport tests: the encode-once refcount contract (one
 // pooled buffer crosses the whole multicast fan-out and exactly one
 // sendmmsg), the per-errno send accounting, unknown-peer drops (counted
-// and traced), the per-datagram baseline mode, and the obs export bridge.
+// and traced), the per-datagram baseline mode, the obs export bridge, and
+// bind failures surfacing as exceptions.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -248,6 +250,17 @@ TEST(LoopTransport, SendToUnknownNodeIsNoop) {
     EXPECT_EQ(cluster[0]->queue_depth(), 0u);
     EXPECT_EQ(cluster[0]->stats().datagrams_sent, 0u);
   });
+}
+
+TEST(LoopTransport, BindConflictThrows) {
+  // A second socket on an already-bound port must fail loudly at
+  // construction, not run deaf.
+  event_loop loop;
+  auto cluster = make_cluster(loop, 1);
+  udp_roster taken;
+  taken[node_id{0}] = udp_endpoint{"127.0.0.1", cluster[0]->bound_port()};
+  EXPECT_THROW(loop_udp_transport(loop, node_id{0}, taken), std::system_error);
+  EXPECT_EQ(loop.socket_count(), 1u);
 }
 
 }  // namespace

@@ -12,19 +12,24 @@
 namespace omega::service {
 namespace {
 
+node_id nid(std::size_t i) { return node_id{static_cast<std::uint32_t>(i)}; }
+process_id pid(std::size_t i) {
+  return process_id{static_cast<std::uint32_t>(i)};
+}
+
 struct cluster {
   explicit cluster(std::size_t n,
                    election::algorithm alg = election::algorithm::omega_lc,
                    net::link_profile links = net::link_profile::lan())
       : net(sim, n, links, rng{11}) {
-    for (std::size_t i = 0; i < n; ++i) roster.push_back(node_id{i});
+    for (std::size_t i = 0; i < n; ++i) roster.push_back(nid(i));
     for (std::size_t i = 0; i < n; ++i) {
       service_config cfg;
-      cfg.self = node_id{i};
+      cfg.self = nid(i);
       cfg.roster = roster;
       cfg.alg = alg;
       services.push_back(std::make_unique<leader_election_service>(
-          sim, sim, net.endpoint(node_id{i}), cfg));
+          sim, sim, net.endpoint(nid(i)), cfg));
     }
   }
 
@@ -77,8 +82,8 @@ TEST(ServiceApi, SingleNodeElectsItself) {
 TEST(ServiceApi, ThreeNodesAgree) {
   cluster c(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle();
   const auto leader = c.at(0).leader(g1);
@@ -110,10 +115,10 @@ TEST(ServiceApi, InterruptModeFiresOnChanges) {
 TEST(ServiceApi, NonCandidateFollowsButNeverLeads) {
   cluster c(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
+    c.at(i).register_process(pid(i));
     join_options opts;
     opts.candidate = i != 0;  // process 0 is a passive listener
-    c.at(i).join_group(process_id{i}, g1, opts);
+    c.at(i).join_group(pid(i), g1, opts);
   }
   c.settle();
   const auto leader = c.at(0).leader(g1);
@@ -124,8 +129,8 @@ TEST(ServiceApi, NonCandidateFollowsButNeverLeads) {
 TEST(ServiceApi, LeaveGroupStopsParticipation) {
   cluster c(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle();
   const auto leader = c.at(0).leader(g1);
@@ -133,7 +138,7 @@ TEST(ServiceApi, LeaveGroupStopsParticipation) {
 
   // The leader's process leaves voluntarily.
   const std::size_t idx = leader->value();
-  c.at(idx).leave_group(process_id{idx}, g1);
+  c.at(idx).leave_group(pid(idx), g1);
   c.settle();
 
   for (std::size_t i = 0; i < 3; ++i) {
@@ -169,13 +174,13 @@ TEST(ServiceApi, GroupsAreIndependent) {
   // Different candidate sets per group on the same nodes.
   cluster c(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
+    c.at(i).register_process(pid(i));
     join_options o1;
     o1.candidate = (i == 1);
-    c.at(i).join_group(process_id{i}, g1, o1);
+    c.at(i).join_group(pid(i), g1, o1);
     join_options o2;
     o2.candidate = (i == 2);
-    c.at(i).join_group(process_id{i}, g2, o2);
+    c.at(i).join_group(pid(i), g2, o2);
   }
   c.settle();
   EXPECT_EQ(c.at(0).leader(g1), process_id{1});
@@ -187,14 +192,14 @@ TEST(ServiceApi, MultipleGroupsShareOneHeartbeatStream) {
   // ALIVE rate (payloads are multiplexed onto the node-level stream).
   cluster c(2, election::algorithm::omega_lc);
   for (std::size_t i = 0; i < 2; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle(sec(30));
   const auto one_group = c.at(0).stats().alive_sent;
 
   for (std::size_t i = 0; i < 2; ++i) {
-    c.at(i).join_group(process_id{i}, g2, {});
+    c.at(i).join_group(pid(i), g2, {});
   }
   c.settle(sec(30));
   const auto two_groups = c.at(0).stats().alive_sent - one_group;
@@ -226,15 +231,15 @@ TEST(ServiceApi, EtaRespondsToQoS) {
   cluster loose(2);
   cluster tight(2);
   for (std::size_t i = 0; i < 2; ++i) {
-    loose.at(i).register_process(process_id{i});
+    loose.at(i).register_process(pid(i));
     join_options lo;
     lo.qos.detection_time = sec(2);
-    loose.at(i).join_group(process_id{i}, g1, lo);
+    loose.at(i).join_group(pid(i), g1, lo);
 
-    tight.at(i).register_process(process_id{i});
+    tight.at(i).register_process(pid(i));
     join_options to;
     to.qos.detection_time = msec(200);
-    tight.at(i).join_group(process_id{i}, g1, to);
+    tight.at(i).join_group(pid(i), g1, to);
   }
   loose.settle(sec(60));
   tight.settle(sec(60));
@@ -244,8 +249,8 @@ TEST(ServiceApi, EtaRespondsToQoS) {
 TEST(ServiceApi, StatsCountTraffic) {
   cluster c(2);
   for (std::size_t i = 0; i < 2; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle(sec(10));
   EXPECT_GT(c.at(0).stats().alive_sent, 0u);
@@ -259,8 +264,8 @@ TEST(ServiceApi, OmegaLFollowersFallSilent) {
   // keeps producing ALIVEs.
   cluster c(3, election::algorithm::omega_l);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle(sec(30));
   const auto leader = c.at(0).leader(g1);
@@ -273,7 +278,7 @@ TEST(ServiceApi, OmegaLFollowersFallSilent) {
 
   for (std::size_t i = 0; i < 3; ++i) {
     const auto delta = after[i] - before[i];
-    if (process_id{i} == *leader) {
+    if (pid(i) == *leader) {
       EXPECT_GT(delta, 10u) << "leader must keep heartbeating";
     } else {
       EXPECT_LE(delta, 2u) << "follower " << i << " should be silent";
@@ -284,8 +289,8 @@ TEST(ServiceApi, OmegaLFollowersFallSilent) {
 TEST(ServiceApi, OmegaLcEveryoneKeepsSending) {
   cluster c(3, election::algorithm::omega_lc);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle(sec(30));
   std::vector<std::uint64_t> before(3);
@@ -300,8 +305,8 @@ TEST(ServiceApi, OmegaLcEveryoneKeepsSending) {
 TEST(ServiceApi, LeaveLastGroupSilencesNode) {
   cluster c(2);
   for (std::size_t i = 0; i < 2; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle(sec(10));
   c.at(0).leave_group(process_id{0}, g1);
@@ -318,7 +323,7 @@ TEST(ServiceApi, SetCandidacyFlipsInPlaceWithoutLosingTheLeaderView) {
   // transient leaderless window, unlike a leave + re-join — and a fresh
   // candidate must rank behind the established leader.
   cluster c(3, election::algorithm::omega_l);
-  for (std::size_t i = 0; i < 3; ++i) c.at(i).register_process(process_id{i});
+  for (std::size_t i = 0; i < 3; ++i) c.at(i).register_process(pid(i));
   join_options candidate_join;
   c.at(0).join_group(process_id{0}, g1, candidate_join);
   c.settle(sec(2));
@@ -356,8 +361,8 @@ TEST(ServiceApi, SetCandidacyFlipsInPlaceWithoutLosingTheLeaderView) {
 TEST(ServiceApi, DemotedLeaderWithdrawsGracefully) {
   cluster c(3, election::algorithm::omega_l);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
     c.settle(sec(1));
   }
   c.settle(sec(10));

@@ -20,6 +20,11 @@
 namespace omega::service {
 namespace {
 
+node_id nid(std::size_t i) { return node_id{static_cast<std::uint32_t>(i)}; }
+process_id pid(std::size_t i) {
+  return process_id{static_cast<std::uint32_t>(i)};
+}
+
 const group_id g1{1};
 const group_id g2{2};
 
@@ -30,18 +35,18 @@ struct observed_cluster {
                             election::algorithm alg = election::algorithm::omega_lc,
                             bool causal = false)
       : net(sim, n, net::link_profile::lan(), rng{11}) {
-    for (std::size_t i = 0; i < n; ++i) roster.push_back(node_id{i});
+    for (std::size_t i = 0; i < n; ++i) roster.push_back(nid(i));
     for (std::size_t i = 0; i < n; ++i) {
       auto o = std::make_unique<node_obs>();
       service_config cfg;
-      cfg.self = node_id{i};
+      cfg.self = nid(i);
       cfg.roster = roster;
       cfg.alg = alg;
       cfg.sink = &o->sink;
       cfg.causal_stamping = causal;
       obs.push_back(std::move(o));
       services.push_back(std::make_unique<leader_election_service>(
-          sim, sim, net.endpoint(node_id{i}), cfg));
+          sim, sim, net.endpoint(nid(i)), cfg));
     }
   }
 
@@ -72,8 +77,8 @@ struct observed_cluster {
 TEST(ServiceObs, SinkStampsRecordingNode) {
   observed_cluster c(2);
   for (std::size_t i = 0; i < 2; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle();
   auto events = c.events_of(1);
@@ -84,8 +89,8 @@ TEST(ServiceObs, SinkStampsRecordingNode) {
 TEST(ServiceObs, LeaderChangeAndJoinEventsRecorded) {
   observed_cluster c(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle();
   ASSERT_TRUE(c.at(0).leader(g1).has_value());
@@ -105,8 +110,8 @@ TEST(ServiceObs, LeaderChangeAndJoinEventsRecorded) {
 TEST(ServiceObs, SuspicionAndAccusationEventsOnCrash) {
   observed_cluster c(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle(sec(10));
   const auto leader = c.at(2).leader(g1);
@@ -122,7 +127,7 @@ TEST(ServiceObs, SuspicionAndAccusationEventsOnCrash) {
   bool suspected = false;
   for (const auto& ev : events) {
     if (ev.kind == obs::event_kind::suspicion_raised &&
-        ev.peer == node_id{victim}) {
+        ev.peer == nid(victim)) {
       suspected = true;
       EXPECT_GT(ev.value, 0.0) << "seconds since last heartbeat";
     }
@@ -182,9 +187,9 @@ TEST(ServiceObs, UnknownGroupDropCountedAndTraced) {
 TEST(ServiceObs, HelloByGroupPrunedOnLeave) {
   observed_cluster c(2);
   for (std::size_t i = 0; i < 2; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
-    c.at(i).join_group(process_id{i}, g2, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
+    c.at(i).join_group(pid(i), g2, {});
   }
   c.settle(sec(30));
   ASSERT_TRUE(c.at(0).stats().hello_by_group.contains(g1));
@@ -200,8 +205,8 @@ TEST(ServiceObs, HelloByGroupPrunedOnLeave) {
 TEST(ServiceObs, ExportPublishesServiceStats) {
   observed_cluster c(2);
   for (std::size_t i = 0; i < 2; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle(sec(10));
   obs::export_service_stats(c.obs[0]->reg, c.at(0));
@@ -267,8 +272,8 @@ TEST(ServiceObs, ExportPublishesDropAndHelloFamilies) {
 TEST(ServiceObs, HeartbeatInterarrivalHistogramPerClass) {
   observed_cluster c(3);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});  // default class: interactive
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});  // default class: interactive
   }
   c.settle(sec(30));
 
@@ -291,8 +296,8 @@ TEST(ServiceObs, CausalChainsLinkAcrossNodes) {
   // explains the failover (the same gate the harness and udp_live enforce).
   observed_cluster c(3, election::algorithm::omega_lc, /*causal=*/true);
   for (std::size_t i = 0; i < 3; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle(sec(10));
   const auto leader = c.at(2).leader(g1);
@@ -311,7 +316,7 @@ TEST(ServiceObs, CausalChainsLinkAcrossNodes) {
   }
   const auto graph = obs::causal_graph::build(merged);
   const auto report =
-      graph.linkage(node_id{victim}, process_id{victim}, crash_at, c.sim.now());
+      graph.linkage(nid(victim), pid(victim), crash_at, c.sim.now());
   EXPECT_GT(report.considered, 0u);
   EXPECT_GE(report.evidence_roots, 1u);
   EXPECT_EQ(report.dangling, 0u);
@@ -335,8 +340,8 @@ TEST(ServiceObs, CausalChainsLinkAcrossNodes) {
 TEST(ServiceObs, CausalOffLeavesWireAndTraceUnstamped) {
   observed_cluster c(2);
   for (std::size_t i = 0; i < 2; ++i) {
-    c.at(i).register_process(process_id{i});
-    c.at(i).join_group(process_id{i}, g1, {});
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
   }
   c.settle(sec(10));
   for (std::size_t i = 0; i < 2; ++i) {

@@ -12,6 +12,11 @@ cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
+# The repository benchmark builds perfbench from this checkout's src/ (into
+# .bench_build/): its self-test fails CI when a src/ change breaks that
+# build, a workload's correctness checks or the declared-metrics gates.
+python3 perfbench/run.py --self-test
+
 # Sanitizer pass: the full unit/integration suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer (fatal on first finding).
 cmake -B build-asan -S . -DOMEGA_SANITIZE=address,undefined

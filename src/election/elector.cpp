@@ -1,5 +1,7 @@
 #include "election/elector.hpp"
 
+#include <algorithm>
+
 #include "election/omega_id.hpp"
 #include "election/omega_l.hpp"
 #include "election/omega_lc.hpp"
@@ -20,6 +22,14 @@ std::string_view to_string(algorithm alg) {
       return "omega_l w/o phase guard (ablation)";
   }
   return "unknown";
+}
+
+const membership::member_info* find_member(
+    const std::vector<membership::member_info>& members, process_id pid) {
+  auto it = std::lower_bound(
+      members.begin(), members.end(), pid,
+      [](const membership::member_info& m, process_id p) { return m.pid < p; });
+  return it != members.end() && it->pid == pid ? &*it : nullptr;
 }
 
 std::unique_ptr<elector> make_elector(algorithm alg, elector_context ctx) {

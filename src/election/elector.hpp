@@ -19,6 +19,7 @@
 // `should_send_alive()`.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -45,6 +46,13 @@ enum class algorithm {
 };
 
 [[nodiscard]] std::string_view to_string(algorithm alg);
+
+/// How the hosting instance's evaluate() calls were answered: from the
+/// evaluation memo, or by a full re-evaluation (`omega_elector_evaluations_total`).
+struct evaluation_counts {
+  std::uint64_t memo = 0;
+  std::uint64_t evaluated = 0;
+};
 
 /// Everything an elector needs from its hosting service instance.
 struct elector_context {
@@ -77,7 +85,15 @@ struct elector_context {
   /// state transitions (omega_l competition entry/withdrawal) through it.
   /// Null (default) disables tracing.
   obs::sink* sink = nullptr;
+  /// Counters the elector bumps once per evaluate(), shared by every group
+  /// of the hosting instance. Null (default) disables counting.
+  evaluation_counts* evaluations = nullptr;
 };
+
+/// The roster row for `pid`, or null: a binary search of the pid-sorted
+/// roster that `elector_context::members` returns.
+[[nodiscard]] const membership::member_info* find_member(
+    const std::vector<membership::member_info>& members, process_id pid);
 
 class elector {
  public:

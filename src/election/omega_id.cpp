@@ -17,6 +17,7 @@ void omega_id::on_accuse(const proto::accuse_msg&) {}
 void omega_id::on_member_removed(const membership::member_info&) {}
 
 std::optional<process_id> omega_id::evaluate() {
+  if (ctx_.evaluations) ++ctx_.evaluations->evaluated;
   std::optional<process_id> best;
   for (const auto& m : ctx_.members()) {
     if (!m.candidate) continue;

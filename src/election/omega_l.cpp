@@ -47,15 +47,19 @@ void omega_l::on_alive_payload(node_id from, incarnation inc,
 }
 
 void omega_l::on_fd_transition(node_id node, bool trusted) {
-  memo_dirty_ = true;  // trust verdicts gate contender eligibility
-  if (trusted) return;
-  // Timeout on a contender: accuse it (tagged with the phase we last saw,
-  // so a voluntary withdrawal in the meantime makes the accusation stale)
-  // and drop it from the competition.
+  // evaluate() reads trust only for contenders' nodes, so an edge anywhere
+  // else cannot change its result. A timeout on a contender accuses it
+  // (tagged with the phase we last saw, so a voluntary withdrawal in the
+  // meantime makes the accusation stale) and drops it from the competition.
   const time_point now = ctx_.clock ? ctx_.clock->now() : time_point{};
   for (auto it = contenders_.begin(); it != contenders_.end();) {
     const auto& [pid, st] = *it;
     if (st.node != node) {
+      ++it;
+      continue;
+    }
+    memo_dirty_ = true;
+    if (trusted) {
       ++it;
       continue;
     }
@@ -112,25 +116,17 @@ std::optional<process_id> omega_l::evaluate() {
       ctx_.members_version ? ctx_.members_version() : 0;
   if (!memo_dirty_ && ctx_.members_version &&
       roster_version == memo_members_version_) {
+    if (ctx_.evaluations) ++ctx_.evaluations->memo;
     return memo_result_;
   }
+  if (ctx_.evaluations) ++ctx_.evaluations->evaluated;
 
-  // Candidate roster indexed per roster *version*, not per evaluation: the
-  // per-contender linear scan made every evaluation O(contenders * members)
-  // — quadratic in the global group — and during cluster settle many
-  // evaluations share one roster version.
-  if (!candidate_index_valid_ || !ctx_.members_version ||
-      roster_version != candidate_index_version_) {
-    candidate_index_.clear();
-    for (const auto& m : ctx_.members()) {
-      if (m.candidate) candidate_index_.emplace(m.pid, m.inc);
-    }
-    candidate_index_version_ = roster_version;
-    candidate_index_valid_ = ctx_.members_version != nullptr;
-  }
+  // Eligibility is a binary search of the pid-sorted roster per contender:
+  // O(contenders log n), with nothing to rebuild when the roster changes.
+  const auto& members = ctx_.members();
   const auto is_candidate_member = [&](process_id pid, incarnation inc) {
-    auto it = candidate_index_.find(pid);
-    return it != candidate_index_.end() && it->second == inc;
+    const membership::member_info* m = find_member(members, pid);
+    return m != nullptr && m->candidate && m->inc == inc;
   };
 
   std::optional<rank> best;

@@ -93,22 +93,14 @@ class omega_l final : public elector {
   /// makes on_accuse idempotent under message duplication (ISSUE 10).
   std::unordered_map<node_id, time_point> accuse_processed_;
 
-  /// Candidate members by pid (value = incarnation), so the per-contender
-  /// eligibility check is a hash probe instead of a roster scan. Keyed by
-  /// the roster version: candidate-flag and incarnation changes bump it
-  /// (timestamp refreshes, which the index ignores, do not), so the index
-  /// is rebuilt once per roster change rather than once per evaluation.
-  std::unordered_map<process_id, incarnation> candidate_index_;
-  bool candidate_index_valid_ = false;
-  std::uint64_t candidate_index_version_ = 0;
-
   /// Evaluation memo, same contract as omega_lc's: every input (contenders,
-  /// candidacy, self accusation time, trust verdicts, roster) changes only
-  /// through an observable event, each of which sets memo_dirty_ (roster
-  /// changes bump members_version instead). When nothing changed, the
-  /// result — and therefore the competing_/phase_ transition logic, which
-  /// is a pure function of that result — cannot change either, so the
-  /// cached pid is returned without touching the roster or the FD.
+  /// candidacy, self accusation time, the contenders' trust verdicts,
+  /// roster) changes only through an observable event, each of which sets
+  /// memo_dirty_ (roster changes bump members_version instead). When
+  /// nothing changed, the result — and therefore the competing_/phase_
+  /// transition logic, which is a pure function of that result — cannot
+  /// change either, so the cached pid is returned without touching the
+  /// roster or the FD.
   bool memo_dirty_ = true;
   std::optional<process_id> memo_result_;
   std::uint64_t memo_members_version_ = 0;

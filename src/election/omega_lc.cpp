@@ -202,29 +202,19 @@ std::optional<process_id> omega_lc::evaluate() {
   if (!memo_dirty_ && stage1_cached_ && pending_accuse_.empty() &&
       !ctx_.stability_score && ctx_.members_version &&
       roster_version == memo_members_version_) {
+    if (ctx_.evaluations) ++ctx_.evaluations->memo;
     return memo_result_;
   }
+  if (ctx_.evaluations) ++ctx_.evaluations->evaluated;
 
   // Evidence may have changed since the last event batch: fire or cancel
   // held-back accusations first.
   recheck_pending_accusations();
 
   const auto& members = ctx_.members();
-  // Candidate roster indexed per roster version: stage 2 mentions up to one
-  // pid per member, and a linear is-candidate scan per mention would make
-  // every evaluation O(n^2) — measurable at the hierarchy bench's 120-node
-  // rosters.
-  if (!candidate_index_valid_ || !ctx_.members_version ||
-      roster_version != candidate_index_version_) {
-    candidate_index_.clear();
-    for (const auto& m : members) {
-      if (m.candidate) candidate_index_.insert(m.pid);
-    }
-    candidate_index_version_ = roster_version;
-    candidate_index_valid_ = ctx_.members_version != nullptr;
-  }
   const auto is_candidate_member = [&](process_id pid) {
-    return candidate_index_.find(pid) != candidate_index_.end();
+    const membership::member_info* m = find_member(members, pid);
+    return m != nullptr && m->candidate;
   };
 
   // Stage 2: gather (local leader, accusation time) reports from every

@@ -130,14 +130,6 @@ class omega_lc final : public elector {
   /// makes on_accuse idempotent under message duplication (ISSUE 10).
   std::unordered_map<node_id, time_point> accuse_processed_;
 
-  /// Candidate members by pid, keyed by roster version (same contract as
-  /// omega_l's index): candidate-flag changes bump the version, timestamp
-  /// refreshes do not, so one rebuild serves every evaluation against the
-  /// same roster.
-  std::unordered_set<process_id> candidate_index_;
-  bool candidate_index_valid_ = false;
-  std::uint64_t candidate_index_version_ = 0;
-
   /// Per-evaluation scratch, cleared on entry. evaluate() runs once per
   /// inbound payload, so rebuilding these containers from a cold heap every
   /// call dominated the 500-node benches; clearing keeps their capacity.

@@ -88,7 +88,6 @@ fd_params configure(const qos_spec& qos, const link_estimate& link,
   const int steps = std::max(opts.grid_steps, 4);
 
   double best_eta = 0.0;
-  double best_q0 = 1.0;
   double best_recurrence = 0.0;
 
   // Walk eta from largest (cheapest) to smallest; take the first feasible
@@ -108,12 +107,10 @@ fd_params configure(const qos_spec& qos, const link_estimate& link,
     if (recurrence > best_recurrence) {
       best_recurrence = recurrence;
       best_eta = eta;
-      best_q0 = q0;
     }
   }
 
   // Nothing feasible (e.g. loss too high for this T^U_D): best effort.
-  (void)best_q0;
   fd_params params;
   params.eta = from_seconds(best_eta > 0.0 ? best_eta : total / steps);
   params.delta = qos.detection_time - params.eta;

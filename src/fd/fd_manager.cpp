@@ -25,6 +25,7 @@ void fd_manager::set_link_observer(link_observer observer) {
 }
 
 void fd_manager::set_params_override(group_id group, fd_params params) {
+  ++config_epoch_;
   param_plan& plan = plans_[group];
   plan.set_group_default(params);
   // Apply the new delta to existing monitors immediately; rates follow on
@@ -43,6 +44,7 @@ void fd_manager::set_params_override(group_id group, fd_params params) {
 
 void fd_manager::set_params_override(group_id group, node_id remote,
                                      fd_params params) {
+  ++config_epoch_;
   plans_[group].set_remote(remote, params);
   auto it = remotes_.find(remote);
   if (it == remotes_.end()) return;
@@ -53,10 +55,12 @@ void fd_manager::set_params_override(group_id group, node_id remote,
 }
 
 void fd_manager::clear_params_override(group_id group) {
+  ++config_epoch_;
   plans_.erase(group);
 }
 
 void fd_manager::clear_params_override(group_id group, node_id remote) {
+  ++config_epoch_;
   auto it = plans_.find(group);
   if (it == plans_.end()) return;
   it->second.clear_remote(remote);
@@ -77,6 +81,7 @@ std::optional<fd_params> fd_manager::params_override(group_id group,
 }
 
 void fd_manager::add_group(group_id group, const qos_spec& qos) {
+  ++config_epoch_;
   groups_[group] = qos;
 }
 
@@ -103,6 +108,7 @@ obs::histogram* fd_manager::interarrival_cell(group_id group) {
 }
 
 void fd_manager::remove_group(group_id group) {
+  ++config_epoch_;
   groups_.erase(group);
   plans_.erase(group);
   for (auto& [node, state] : remotes_) {
@@ -164,6 +170,7 @@ heartbeat_monitor& fd_manager::ensure_monitor(group_id group, node_id remote,
           if (on_transition_) on_transition_(group, remote, trusted);
         });
     it = state.monitors.emplace(group, std::move(monitor)).first;
+    state.solved = false;
   }
   return *it->second;
 }
@@ -185,6 +192,7 @@ void fd_manager::on_alive(const proto::alive_msg& msg, time_point recv_time) {
     state.monitors.clear();
     state.params.clear();
     state.hot.clear();
+    state.solved = false;
   }
   // Node-level inter-arrival gap, taken before last_heard is overwritten;
   // observed below once per distinct QoS class among the carried groups.
@@ -243,6 +251,7 @@ void fd_manager::drop(group_id group, node_id remote) {
   it->second->monitors.erase(group);
   it->second->params.erase(group);
   it->second->hot.clear();
+  it->second->solved = false;
   // The dropped group may have been the one pinning this remote to a fast
   // heartbeat rate; renegotiate from the remaining groups immediately
   // instead of leaving the stale request in force until the next refresh.
@@ -250,6 +259,7 @@ void fd_manager::drop(group_id group, node_id remote) {
 }
 
 void fd_manager::forget_remote_refinements(node_id remote) {
+  ++config_epoch_;
   for (auto it = plans_.begin(); it != plans_.end();) {
     it->second.clear_remote(remote);
     if (it->second.empty()) {
@@ -320,25 +330,39 @@ void fd_manager::reconfigure_all() {
 }
 
 void fd_manager::reconfigure_remote(node_id remote, remote_state& state) {
-  const link_estimate link = state.lqe.estimate();
-
-  // Only groups that actually monitor this remote get an operating point
-  // (and a say in its rate): iterating all registered groups here would
-  // resurrect params for a (group, remote) that `drop` just tore down and
-  // re-pin the dropped group's fast rate on the next pass.
-  for (auto& [group, monitor] : state.monitors) {
-    auto git = groups_.find(group);
-    if (git == groups_.end()) continue;
-    // Per-(group, remote) resolution: plan refinement > plan group default
-    // > the configurator solved against *this* remote's link estimate.
-    const fd_params params = [&] {
-      if (auto plan = plans_.find(group); plan != plans_.end()) {
-        if (auto resolved = plan->second.resolve(remote)) return *resolved;
-      }
-      return configure(git->second, link, opts_.configurator);
-    }();
-    state.params[group] = params;
-    monitor->set_delta(params.delta);
+  // A solve reads the link estimate (which moves only on a heartbeat), the
+  // group QoS and plans (config epoch) and the monitor set (clears the
+  // stamp): with none of them changed it would rewrite the same params.
+  const std::uint64_t heartbeats = state.lqe.heartbeats_seen();
+  const bool unchanged = state.solved && state.solved_heartbeats == heartbeats &&
+                         state.solved_epoch == config_epoch_;
+  if (resolves_) {
+    (unchanged ? resolves_->skipped : resolves_->solved) += state.monitors.size();
+  }
+  if (!unchanged) {
+    const link_estimate link = state.lqe.estimate();
+    // Only groups that actually monitor this remote get an operating point
+    // (and a say in its rate): iterating all registered groups here would
+    // resurrect params for a (group, remote) that `drop` just tore down and
+    // re-pin the dropped group's fast rate on the next pass.
+    for (auto& [group, monitor] : state.monitors) {
+      auto git = groups_.find(group);
+      if (git == groups_.end()) continue;
+      // Per-(group, remote) resolution: plan refinement > plan group
+      // default > the configurator solved against *this* remote's link
+      // estimate.
+      const fd_params params = [&] {
+        if (auto plan = plans_.find(group); plan != plans_.end()) {
+          if (auto resolved = plan->second.resolve(remote)) return *resolved;
+        }
+        return configure(git->second, link, opts_.configurator);
+      }();
+      state.params[group] = params;
+      monitor->set_delta(params.delta);
+    }
+    state.solved = true;
+    state.solved_heartbeats = heartbeats;
+    state.solved_epoch = config_epoch_;
   }
   renegotiate_rate(remote, state, clock_.now());
 }

@@ -56,6 +56,13 @@ class fd_manager {
   using transition_handler = std::function<void(group_id, node_id, bool)>;
   /// Called when a RATE_REQ should be sent to `node` asking for `eta`.
   using rate_request_fn = std::function<void(node_id, duration)>;
+  /// Per (remote, group) pair the reconfiguration pass visits: whether it
+  /// re-solved the pair or skipped it because nothing the solve reads had
+  /// changed since the last one (`omega_fd_resolve_total`).
+  struct resolve_counts {
+    std::uint64_t skipped = 0;
+    std::uint64_t solved = 0;
+  };
   /// Observes every link-estimate update: (remote, fresh estimate, time).
   /// The adaptation engine feeds its link tracker from this stream.
   using link_observer = std::function<void(node_id, const link_estimate&,
@@ -75,6 +82,8 @@ class fd_manager {
   /// Attaches the observability sink; trust/suspect edges emit
   /// suspicion_raised / suspicion_cleared trace events. Null disables.
   void set_sink(obs::sink* sink) { sink_ = sink; }
+  /// Attaches the counters the reconfiguration pass bumps. Null disables.
+  void set_resolve_counts(resolve_counts* counts) { resolves_ = counts; }
 
   /// Registers a local group and the FD QoS its members require.
   void add_group(group_id group, const qos_spec& qos);
@@ -172,6 +181,12 @@ class fd_manager {
       obs::histogram* interarrival;
     };
     std::vector<hot_entry> hot;
+    /// Stamp of the last per-group solve: it read `solved_heartbeats`
+    /// estimator samples under config epoch `solved_epoch`. Cleared
+    /// (solved = false) whenever the remote's monitor set changes.
+    bool solved = false;
+    std::uint64_t solved_heartbeats = 0;
+    std::uint64_t solved_epoch = 0;
     duration last_requested_eta{0};
     time_point last_rate_sent{};
     time_point last_heard{};
@@ -179,6 +194,10 @@ class fd_manager {
   };
 
   void reconfigure_all();
+  /// Re-solves every group monitoring `remote`, unless the remote's stamp
+  /// shows no new heartbeat and no config change since the last solve,
+  /// then renegotiates its rate (that part is time-driven, so it always
+  /// runs).
   void reconfigure_remote(node_id remote, remote_state& state);
   /// Removes `remote`'s refinement from every group plan (node gone/GC'd).
   void forget_remote_refinements(node_id remote);
@@ -212,6 +231,12 @@ class fd_manager {
   [[nodiscard]] obs::histogram* interarrival_cell(group_id group);
 
   obs::sink* sink_ = nullptr;
+  resolve_counts* resolves_ = nullptr;
+  /// Bumped by every change to what a solve reads besides the link
+  /// estimate: group QoS (add/remove_group) and the param plans (every
+  /// override set/clear, refinement GC). A remote whose stamp carries an
+  /// older epoch re-solves on the next pass.
+  std::uint64_t config_epoch_ = 0;
   std::unordered_map<group_id, qos_spec> groups_;
   /// QoS class labels per group (see set_group_class).
   std::unordered_map<group_id, std::string> classes_;

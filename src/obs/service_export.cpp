@@ -41,6 +41,17 @@ void export_service_stats(registry& reg,
                   with_node(svc, {{"reason", "unknown_group"}}))
       .advance_to(st.dropped_unknown_group);
 
+  // Cache effectiveness: how often the elector memo and the FD re-solve
+  // skip answered without recomputing.
+  auto outcome = [&](std::string_view family, std::string_view label) -> counter& {
+    return reg.get_counter(family, with_node(svc, {{"outcome", std::string(label)}}));
+  };
+  outcome("omega_elector_evaluations_total", "memo").advance_to(st.evaluations.memo);
+  outcome("omega_elector_evaluations_total", "evaluated")
+      .advance_to(st.evaluations.evaluated);
+  outcome("omega_fd_resolve_total", "skipped").advance_to(st.fd_resolves.skipped);
+  outcome("omega_fd_resolve_total", "solved").advance_to(st.fd_resolves.solved);
+
   for (const auto& [group, hs] : st.hello_by_group) {
     label_set labels =
         with_node(svc, {{"group", std::to_string(group.value())}});

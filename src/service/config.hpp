@@ -104,6 +104,12 @@ struct service_stats {
   /// senders that have not yet processed our LEAVE. Previously these were
   /// silently ignored, indistinguishable from decode failures.
   std::uint64_t dropped_unknown_group = 0;
+  /// Election evaluations answered from an elector's memo vs recomputed,
+  /// summed over this instance's groups.
+  election::evaluation_counts evaluations;
+  /// FD reconfiguration-pass (remote, group) visits skipped as unchanged vs
+  /// re-solved.
+  fd::fd_manager::resolve_counts fd_resolves;
 
   /// Per-group HELLO dissemination accounting: how many HELLO emissions
   /// carried the group's entry and to how many destinations in total. Under

@@ -34,6 +34,7 @@ leader_election_service::leader_election_service(clock_source& clock,
       rate_(fd::qos_spec{}.detection_time / 4),
       alive_timer_(timers) {
   transport_.set_receive_handler([this](const net::datagram& d) { on_datagram(d); });
+  fd_.set_resolve_counts(&stats_.fd_resolves);
 
   if (config_.sink) {
     config_.sink->set_self(config_.self);
@@ -163,6 +164,7 @@ election::elector_context leader_election_service::make_context(group_id group,
     send_to(dst, msg);
   };
   ctx.sink = config_.sink;
+  ctx.evaluations = &stats_.evaluations;
   return ctx;
 }
 

@@ -1,10 +1,13 @@
 // Shared fixture for elector unit tests: a hand-cranked elector_context
-// with a controllable clock, membership list, trust oracle, and a capture
-// of outgoing ACCUSE messages.
+// with a controllable clock, membership list (kept sorted by pid, as
+// elector_context::members promises), trust oracle, and a capture of
+// outgoing ACCUSE messages.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <unordered_set>
 #include <vector>
 
@@ -31,7 +34,10 @@ struct sent_accusation {
 class elector_world {
  public:
   manual_clock clock;
+  /// Sorted by pid; mutate through add/remove_member or set_candidate so
+  /// the order holds and `version` counts every content change.
   std::vector<membership::member_info> members;
+  std::uint64_t version = 0;
   std::unordered_set<node_id> trusted;
   std::vector<sent_accusation> accusations;
 
@@ -54,21 +60,46 @@ class elector_world {
     return ctx;
   }
 
-  /// Adds a member hosted on the node with the same numeric id.
+  /// Like context(), with `members_version` wired to `version`, so the
+  /// elector memoizes its evaluations as it does inside a service.
+  elector_context memoized_context(process_id self, bool candidate,
+                                   incarnation inc = 1) {
+    elector_context ctx = context(self, candidate, inc);
+    ctx.members_version = [this] { return version; };
+    return ctx;
+  }
+
+  /// Adds a member hosted on the node with the same numeric id, at its
+  /// sorted position.
   membership::member_info& add_member(process_id pid, bool candidate = true,
                                       incarnation inc = 1) {
-    members.push_back({pid, node_id{pid.value()}, inc, candidate, clock.now()});
+    ++version;
     trusted.insert(node_id{pid.value()});
-    return members.back();
+    return *members.insert(position(pid),
+                           {pid, node_id{pid.value()}, inc, candidate, clock.now()});
   }
 
   void remove_member(process_id pid) {
+    ++version;
     std::erase_if(members,
                   [&](const membership::member_info& m) { return m.pid == pid; });
   }
 
+  void set_candidate(process_id pid, bool candidate) {
+    ++version;
+    auto it = position(pid);
+    if (it != members.end() && it->pid == pid) it->candidate = candidate;
+  }
+
   void distrust(process_id pid) { trusted.erase(node_id{pid.value()}); }
   void trust(process_id pid) { trusted.insert(node_id{pid.value()}); }
+
+ private:
+  std::vector<membership::member_info>::iterator position(process_id pid) {
+    return std::lower_bound(
+        members.begin(), members.end(), pid,
+        [](const membership::member_info& m, process_id p) { return m.pid < p; });
+  }
 };
 
 /// Convenience: an ALIVE payload as a peer running the same algorithm would

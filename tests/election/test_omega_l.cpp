@@ -219,6 +219,20 @@ TEST(OmegaL, ContenderMustBeCurrentMember) {
   EXPECT_EQ(e.evaluate(), p2);
 }
 
+TEST(OmegaL, ContenderMustMatchRosterIncarnation) {
+  // The roster already knows p1's next incarnation; evidence from the old
+  // one must not make it eligible.
+  elector_world w;
+  w.clock.set(time_origin + sec(100));
+  omega_l e(w.context(p2, true));
+  w.add_member(p1, true, /*inc=*/2);
+  w.add_member(p2);
+  e.on_alive_payload(node_id{1}, 1, payload_from(p1, time_origin + sec(10)));
+  EXPECT_EQ(e.evaluate(), p2);
+  e.on_alive_payload(node_id{1}, 2, payload_from(p1, time_origin + sec(10)));
+  EXPECT_EQ(e.evaluate(), p1);
+}
+
 TEST(OmegaL, MemberRemovalForgetsContender) {
   elector_world w;
   w.clock.set(time_origin + sec(100));
@@ -230,6 +244,26 @@ TEST(OmegaL, MemberRemovalForgetsContender) {
   e.on_member_removed({p1, node_id{1}, 1, true, {}});
   w.remove_member(p1);
   EXPECT_EQ(e.evaluate(), p2);
+}
+
+TEST(OmegaL, ContendersAddedInDescendingPidOrderAreFound) {
+  // Eligibility is a binary search of the pid-sorted roster: members that
+  // joined in descending pid order must all still be found.
+  elector_world w;
+  w.clock.set(time_origin + sec(100));
+  omega_l e(w.memoized_context(process_id{9}, true));
+  for (std::uint32_t pid = 9; pid >= 2; --pid) w.add_member(process_id{pid});
+  for (std::uint32_t pid = 8; pid >= 2; --pid) {
+    // p5 holds the earliest accusation time; the rest trail it.
+    const time_point acc = time_origin + sec(pid == 5 ? 1 : 10 + pid);
+    e.on_alive_payload(node_id{pid}, 1, payload_from(process_id{pid}, acc));
+  }
+  EXPECT_EQ(e.evaluate(), process_id{5});
+  w.set_candidate(process_id{5}, false);
+  EXPECT_EQ(e.evaluate(), process_id{2}) << "next-earliest accusation time";
+  w.distrust(process_id{2});
+  e.on_fd_transition(node_id{2}, false);
+  EXPECT_EQ(e.evaluate(), process_id{3});
 }
 
 TEST(OmegaL, LateJoinerDoesNotDemoteEstablishedLeader) {

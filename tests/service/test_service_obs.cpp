@@ -230,6 +230,36 @@ TEST(ServiceObs, ExportPublishesServiceStats) {
   EXPECT_FALSE(samples->empty());
 }
 
+TEST(ServiceObs, ExportPublishesCacheCounters) {
+  // Omega_l in steady state: node 1 hears only the leader's ALIVEs, each of
+  // which repeats the same evidence (memo), and node 2 has withdrawn into
+  // silence, so the FD pass has nothing new to solve for it (skipped).
+  observed_cluster c(3, election::algorithm::omega_l);
+  for (std::size_t i = 0; i < 3; ++i) {
+    c.at(i).register_process(pid(i));
+    c.at(i).join_group(pid(i), g1, {});
+  }
+  c.settle(sec(20));
+  ASSERT_EQ(c.at(1).leader(g1), pid(0));
+
+  auto& reg = c.obs[1]->reg;
+  obs::export_service_stats(reg, c.at(1));
+  const service_stats& st = c.at(1).stats();
+  const auto count = [&](std::string_view family, std::string_view outcome) {
+    return reg.get_counter(family, {{"node", "1"}, {"outcome", std::string(outcome)}})
+        .value();
+  };
+  EXPECT_EQ(count("omega_elector_evaluations_total", "memo"), st.evaluations.memo);
+  EXPECT_EQ(count("omega_elector_evaluations_total", "evaluated"),
+            st.evaluations.evaluated);
+  EXPECT_EQ(count("omega_fd_resolve_total", "skipped"), st.fd_resolves.skipped);
+  EXPECT_EQ(count("omega_fd_resolve_total", "solved"), st.fd_resolves.solved);
+  EXPECT_GT(st.evaluations.memo, 0u);
+  EXPECT_GT(st.evaluations.evaluated, 0u);
+  EXPECT_GT(st.fd_resolves.skipped, 0u);
+  EXPECT_GT(st.fd_resolves.solved, 0u);
+}
+
 TEST(ServiceObs, ExportPublishesDropAndHelloFamilies) {
   observed_cluster c(2);
   c.at(0).register_process(process_id{0});

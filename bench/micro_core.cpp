@@ -2,15 +2,21 @@
 //
 // These are not paper figures; they document the cost of the individual
 // building blocks: FD parameter computation, link-quality updates, wire
-// serialization, the simulator event queue, and a full simulated cluster
-// step. Run with --benchmark_filter=... to narrow.
+// serialization, membership refresh and snapshot apply, the simulator
+// event queue, and a full simulated cluster step. Run with
+// --benchmark_filter=... to narrow.
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <utility>
 
 #include "common/random.hpp"
 #include "common/serialization.hpp"
 #include "fd/configurator.hpp"
 #include "fd/link_quality_estimator.hpp"
 #include "harness/experiment.hpp"
+#include "membership/group_maintenance.hpp"
+#include "membership/member_table.hpp"
 #include "proto/wire.hpp"
 #include "sim/simulator.hpp"
 
@@ -91,6 +97,60 @@ void BM_WireDecodeAlive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WireDecodeAlive);
+
+void BM_MemberTableRefresh(benchmark::State& state) {
+  // One refresh of every member of a 300-entry table, in pid order: the
+  // steady-state HELLO_ACK / ALIVE evidence path (no content change).
+  constexpr std::uint32_t kMembers = 300;
+  membership::member_table table;
+  for (std::uint32_t i = 0; i < kMembers; ++i) {
+    table.upsert(process_id{i}, node_id{i}, 1, i % 3 == 0, time_origin);
+  }
+  time_point now = time_origin;
+  for (auto _ : state) {
+    now += msec(1);
+    for (std::uint32_t i = 0; i < kMembers; ++i) {
+      benchmark::DoNotOptimize(
+          table.upsert(process_id{i}, node_id{i}, 1, i % 3 == 0, now));
+    }
+    // The electors read the pid-sorted roster between refreshes.
+    benchmark::DoNotOptimize(table.members_view().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kMembers);
+}
+BENCHMARK(BM_MemberTableRefresh);
+
+void BM_HelloAckApply(benchmark::State& state) {
+  // A 306-entry snapshot over 3 groups (300 + 3 + 3 members), as a node of
+  // a 300-node hierarchy receives it, applied to tables that already hold
+  // every entry: the refresh-only steady state.
+  sim::simulator sim;
+  membership::group_maintenance gm(sim, sim, node_id{0}, 1, {});
+  const std::array<std::pair<group_id, std::uint32_t>, 3> groups{
+      {{group_id{1}, 300}, {group_id{2}, 3}, {group_id{3}, 3}}};
+  proto::hello_ack_msg ack;
+  ack.from = node_id{1};
+  ack.inc = 1;
+  for (const auto& [g, n] : groups) {
+    gm.local_join(g, process_id{0}, true);
+    for (std::uint32_t i = 1; i <= n; ++i) {
+      ack.entries.push_back({g, process_id{i}, node_id{i}, 1, i % 3 == 0});
+    }
+  }
+  gm.on_hello_ack(ack, sim.now());
+  time_point now = sim.now();
+  for (auto _ : state) {
+    now += msec(1);
+    gm.on_hello_ack(ack, now);
+    for (const auto& [g, n] : groups) {
+      benchmark::DoNotOptimize(gm.table(g).members_view().data());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ack.entries.size()));
+}
+BENCHMARK(BM_HelloAckApply);
 
 void BM_EventQueueArmFire(benchmark::State& state) {
   sim::simulator sim;

@@ -57,6 +57,15 @@ OMEGA_BENCH_HOURS="${OMEGA_BENCH_HOURS:-0.2}" ./build/fig15_adversary
 # multicast -> admit -> deliver path.
 ./build/sim_hotpath
 
+# Building-block microbenches (bench/micro_core.cpp, Google Benchmark): FD
+# parameter solve, wire codec, membership refresh / HELLO_ACK apply, event
+# queue. Recorded in BENCH_micro_core.json (checked by the JSON step below),
+# not gated. The target is only built where Google Benchmark is installed.
+if [ -x ./build/micro_core ]; then
+  ./build/micro_core --benchmark_out=BENCH_micro_core.json \
+    --benchmark_out_format=json
+fi
+
 # Live scale-out runtime smoke (DESIGN.md §10): real UDP sockets on shared
 # epoll loops, batched vs per-datagram, at 32 and 128 hosted services.
 # Writes BENCH_live.json (validated and gated below); a non-zero exit means

@@ -18,19 +18,20 @@ omega_l::omega_l(elector_context ctx, options opts)
 void omega_l::on_alive_payload(node_id from, incarnation inc,
                                const proto::group_payload& payload) {
   if (payload.pid == ctx_.self_pid) return;
-  auto it = contenders_.find(payload.pid);
-  if (it != contenders_.end() && inc < it->second.inc) return;  // stale
+  auto it = find_contender(payload.pid);
+  const bool existed = it != contenders_.end() && it->pid == payload.pid;
+  if (existed && inc < it->inc) return;  // stale
   if (!payload.competing || !payload.candidate) {
     // A final ALIVE with competing=false is a graceful withdrawal: drop the
     // contender right away instead of waiting for a timeout.
-    if (it != contenders_.end()) {
+    if (existed) {
       contenders_.erase(it);
       memo_dirty_ = true;
     }
     return;
   }
-  const bool existed = it != contenders_.end();
-  contender_state& st = existed ? it->second : contenders_[payload.pid];
+  if (!existed) it = contenders_.insert(it, contender_state{payload.pid, from});
+  contender_state& st = *it;
   const contender_state before = st;
   st.node = from;
   st.inc = inc;
@@ -53,7 +54,7 @@ void omega_l::on_fd_transition(node_id node, bool trusted) {
   // meantime makes the accusation stale) and drops it from the competition.
   const time_point now = ctx_.clock ? ctx_.clock->now() : time_point{};
   for (auto it = contenders_.begin(); it != contenders_.end();) {
-    const auto& [pid, st] = *it;
+    const contender_state& st = *it;
     if (st.node != node) {
       ++it;
       continue;
@@ -68,7 +69,7 @@ void omega_l::on_fd_transition(node_id node, bool trusted) {
       accuse.from = ctx_.self_node;
       accuse.from_inc = ctx_.self_inc;
       accuse.group = ctx_.group;
-      accuse.target = pid;
+      accuse.target = st.pid;
       accuse.target_inc = st.inc;
       accuse.phase = st.phase;
       accuse.when = now;
@@ -101,8 +102,8 @@ void omega_l::on_accuse(const proto::accuse_msg& msg) {
 }
 
 void omega_l::on_member_removed(const membership::member_info& member) {
-  auto it = contenders_.find(member.pid);
-  if (it != contenders_.end() && it->second.inc <= member.inc) {
+  auto it = find_contender(member.pid);
+  if (it != contenders_.end() && it->pid == member.pid && it->inc <= member.inc) {
     contenders_.erase(it);
     memo_dirty_ = true;
   }
@@ -131,11 +132,15 @@ std::optional<process_id> omega_l::evaluate() {
 
   std::optional<rank> best;
   if (ctx_.candidate) best = rank{self_acc_, ctx_.self_pid};
-  for (const auto& [pid, st] : contenders_) {
-    if (!is_candidate_member(pid, st.inc)) continue;
+  for (const contender_state& st : contenders_) {
+    const rank r{st.acc_time, st.pid};
+    // Ranks are unique (the pid breaks ties), so a contender that does not
+    // beat the best so far cannot be the minimum whatever its eligibility:
+    // rank first, and probe the roster and the FD only for a would-be best.
+    if (best && !(r < *best)) continue;
+    if (!is_candidate_member(st.pid, st.inc)) continue;
     if (!ctx_.is_trusted || !ctx_.is_trusted(st.node)) continue;
-    const rank r{st.acc_time, pid};
-    if (!best || r < *best) best = r;
+    best = r;
   }
 
   const bool now_competing = ctx_.candidate && best && best->pid == ctx_.self_pid;
@@ -171,6 +176,13 @@ void omega_l::set_candidate(bool candidate) {
     competing_ = false;  // the service's reevaluate sends the withdrawal
     if (was) note_competition(false);
   }
+}
+
+std::vector<omega_l::contender_state>::iterator omega_l::find_contender(
+    process_id pid) {
+  return std::lower_bound(
+      contenders_.begin(), contenders_.end(), pid,
+      [](const contender_state& c, process_id p) { return c.pid < p; });
 }
 
 void omega_l::note_competition(bool entered) {

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "election/elector.hpp"
 
@@ -66,6 +67,7 @@ class omega_l final : public elector {
 
  private:
   struct contender_state {
+    process_id pid;
     node_id node;
     incarnation inc = 0;
     bool candidate = false;
@@ -83,12 +85,14 @@ class omega_l final : public elector {
   };
 
   void note_competition(bool entered);
+  /// `pid`'s lower bound in contenders_.
+  [[nodiscard]] std::vector<contender_state>::iterator find_contender(process_id pid);
 
   options opts_;
   time_point self_acc_{};
   std::uint32_t phase_ = 0;
   bool competing_ = false;
-  std::unordered_map<process_id, contender_state> contenders_;
+  std::vector<contender_state> contenders_;  // sorted by pid
   /// Newest suspicion timestamp processed per accuser — the dedup that
   /// makes on_accuse idempotent under message duplication (ISSUE 10).
   std::unordered_map<node_id, time_point> accuse_processed_;

@@ -20,7 +20,7 @@ void group_maintenance::local_join(group_id group, process_id pid, bool candidat
   const time_point now = clock_.now();
   auto& state = groups_[group];
   state.local = member_info{pid, self_, inc_, candidate, now};
-  apply_upsert(group, pid, self_, inc_, candidate, now);
+  apply_upsert(group, state, pid, self_, inc_, candidate, now);
   if (!scoped_mode()) {
     broadcast_hello(/*reply_requested=*/true);
     return;
@@ -86,7 +86,8 @@ void group_maintenance::update_local_candidacy(group_id group, bool candidate) {
   if (it->second.local->candidate == candidate) return;
   const time_point now = clock_.now();
   it->second.local->candidate = candidate;
-  apply_upsert(group, it->second.local->pid, self_, inc_, candidate, now);
+  apply_upsert(group, it->second, it->second.local->pid, self_, inc_, candidate,
+               now);
   if (scoped_mode() && candidate) {
     // Promotion: every group member must (re)learn us as a candidate — the
     // listeners' scoped refreshes gate on the flag — and we must re-learn
@@ -137,36 +138,36 @@ void group_maintenance::note_membership(obs::event_kind kind, group_id group,
   sink_->record(ev);
 }
 
-void group_maintenance::apply_upsert(group_id group, process_id pid, node_id node,
-                                     incarnation inc, bool candidate,
-                                     time_point now) {
-  auto it = groups_.find(group);
-  if (it == groups_.end()) return;  // not a group we participate in
-  member_table& table = it->second.table;
+upsert_result group_maintenance::apply_upsert(group_id group, group_state& state,
+                                              process_id pid, node_id node,
+                                              incarnation inc, bool candidate,
+                                              time_point now, std::size_t* cursor) {
   member_info prior{};
-  switch (table.upsert(pid, node, inc, candidate, now, &prior)) {
-    case upsert_result::joined:
-      note_membership(obs::event_kind::member_join, group, pid, node);
-      if (events_.on_member_joined) events_.on_member_joined(group, *table.find(pid));
-      break;
-    case upsert_result::reincarnated:
-      note_membership(obs::event_kind::member_join, group, pid, node);
-      if (events_.on_member_removed) events_.on_member_removed(group, prior);
-      if (events_.on_member_reincarnated) {
-        events_.on_member_reincarnated(group, *table.find(pid));
-      }
-      if (events_.on_member_joined) events_.on_member_joined(group, *table.find(pid));
-      break;
-    case upsert_result::updated:
-    case upsert_result::unchanged:
-    case upsert_result::stale_ignored:
-      break;
+  const upsert_result result =
+      state.table.upsert(pid, node, inc, candidate, now, &prior, cursor);
+  if (result != upsert_result::joined && result != upsert_result::reincarnated) {
+    return result;
   }
+  // The callbacks get a copy of the new row: they may re-enter local_join /
+  // update_local_candidacy / local_leave, which can move or free the table.
+  const member_info current{pid, node, inc, candidate, now};
+  note_membership(obs::event_kind::member_join, group, pid, node);
+  if (result == upsert_result::reincarnated) {
+    if (events_.on_member_removed) events_.on_member_removed(group, prior);
+    if (events_.on_member_reincarnated) {
+      events_.on_member_reincarnated(group, current);
+    }
+  }
+  if (events_.on_member_joined) events_.on_member_joined(group, current);
+  return result;
 }
 
 void group_maintenance::on_hello(const proto::hello_msg& msg, time_point now) {
   for (const auto& entry : msg.entries) {
-    apply_upsert(entry.group, entry.pid, msg.from, msg.inc, entry.candidate, now);
+    auto it = groups_.find(entry.group);
+    if (it == groups_.end()) continue;  // not a group we participate in
+    apply_upsert(entry.group, it->second, entry.pid, msg.from, msg.inc,
+                 entry.candidate, now);
   }
   if (msg.reply_requested && unicast_) {
     if (scoped_mode()) {
@@ -181,8 +182,28 @@ void group_maintenance::on_hello(const proto::hello_msg& msg, time_point now) {
 }
 
 void group_maintenance::on_hello_ack(const proto::hello_ack_msg& msg, time_point now) {
-  for (const auto& entry : msg.entries) {
-    apply_upsert(entry.group, entry.pid, entry.node, entry.inc, entry.candidate, now);
+  // Snapshots list each group's members as one pid-sorted run (see
+  // build_snapshot): resolve the group once per run, skip runs of groups we
+  // are not in, and walk the table with a forward cursor. The cursor is
+  // only a hint the table checks, so an unsorted run stays correct.
+  const auto& entries = msg.entries;
+  for (std::size_t i = 0; i < entries.size();) {
+    const group_id group = entries[i].group;
+    std::size_t end = i + 1;
+    while (end < entries.size() && entries[end].group == group) ++end;
+    auto it = groups_.find(group);
+    std::size_t cursor = 0;
+    for (; i < end && it != groups_.end(); ++i) {
+      const auto& e = entries[i];
+      const upsert_result r = apply_upsert(group, it->second, e.pid, e.node, e.inc,
+                                           e.candidate, now, &cursor);
+      // A join/reincarnation ran callbacks, which may have re-entered and
+      // left (or left and re-joined) the group.
+      if (r == upsert_result::joined || r == upsert_result::reincarnated) {
+        it = groups_.find(group);
+      }
+    }
+    i = end;
   }
 }
 
@@ -197,7 +218,10 @@ void group_maintenance::on_leave(const proto::leave_msg& msg) {
 
 void group_maintenance::on_alive(const proto::alive_msg& msg, time_point now) {
   for (const auto& payload : msg.groups) {
-    apply_upsert(payload.group, payload.pid, msg.from, msg.inc, payload.candidate, now);
+    auto it = groups_.find(payload.group);
+    if (it == groups_.end()) continue;  // not a group we participate in
+    apply_upsert(payload.group, it->second, payload.pid, msg.from, msg.inc,
+                 payload.candidate, now);
   }
 }
 

@@ -188,8 +188,11 @@ class group_maintenance {
   /// snapshot (`all` fanout stays byte-identical).
   [[nodiscard]] proto::hello_ack_msg build_snapshot(
       const proto::hello_msg* request) const;
-  void apply_upsert(group_id group, process_id pid, node_id node, incarnation inc,
-                    bool candidate, time_point now);
+  /// Upserts into `state` (the entry of `group`) and emits the join /
+  /// reincarnation events. `cursor` is member_table::upsert's run hint.
+  upsert_result apply_upsert(group_id group, group_state& state, process_id pid,
+                             node_id node, incarnation inc, bool candidate,
+                             time_point now, std::size_t* cursor = nullptr);
   void note_membership(obs::event_kind kind, group_id group, process_id pid,
                        node_id node);
 

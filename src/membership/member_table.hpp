@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -40,37 +39,43 @@ enum class upsert_result {
   stale_ignored,  // evidence from an older incarnation; dropped
 };
 
+/// The members, stored as one vector sorted by pid: lookups are a binary
+/// search, and the election hot path reads the roster in place.
 class member_table {
  public:
   /// Inserts or refreshes a member; see `upsert_result` for the outcome.
   /// If `prior` is non-null, it receives the entry as it was before the
-  /// call (unchanged when the result is `joined`) — saves the caller a
-  /// second hash lookup on the per-ALIVE path.
+  /// call (unchanged when the result is `joined`).
+  ///
+  /// `cursor`, if non-null, is a position hint for applying an ascending
+  /// run of pids: on entry, where the caller expects `pid` to sit (its
+  /// lower bound); on return, the position just past `pid`'s row, which is
+  /// the next larger pid's lower bound when the table holds both. The hint
+  /// is checked against its neighbours and a wrong one (the table changed
+  /// in between, or the run is not ascending) falls back to a binary
+  /// search, so any value is safe.
   upsert_result upsert(process_id pid, node_id node, incarnation inc,
                        bool candidate, time_point now,
-                       member_info* prior = nullptr);
+                       member_info* prior = nullptr,
+                       std::size_t* cursor = nullptr);
 
   /// Removes a member if the evidence is not stale (incarnation >= stored).
   /// Returns the removed entry, if any.
   std::optional<member_info> remove(process_id pid, incarnation inc);
 
-  /// Removes every member hosted on `node`; returns the removed entries.
-  std::vector<member_info> remove_node(node_id node);
-
   /// Removes members whose last refresh is older than `cutoff` and for whom
-  /// `still_vouched(member)` is false. Returns the evicted entries.
+  /// `still_vouched(member)` is false. Returns the evicted entries in pid
+  /// order.
   std::vector<member_info> evict_stale(
       time_point cutoff, const std::function<bool(const member_info&)>& still_vouched);
 
   [[nodiscard]] const member_info* find(process_id pid) const;
-  [[nodiscard]] std::vector<member_info> members() const;
 
-  /// The members sorted by pid, as a reference into a cache that stays valid
-  /// until the next membership *change* (join/leave/eviction). Timestamp
-  /// refreshes — the once-per-ALIVE common case — patch the cache in place,
-  /// so the election hot path reads the roster without copying or sorting
-  /// it. The reference is invalidated by any non-const member call.
-  [[nodiscard]] const std::vector<member_info>& members_view() const;
+  /// The members sorted by pid. The reference is to the table's own
+  /// storage, so it is invalidated by any non-const member call.
+  [[nodiscard]] const std::vector<member_info>& members_view() const {
+    return members_;
+  }
 
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] bool empty() const { return members_.empty(); }
@@ -82,18 +87,10 @@ class member_table {
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
  private:
-  /// Mirrors an updated entry into the sorted cache (pid unchanged, so the
-  /// sort position is stable). No-op while the cache is invalid.
-  void patch_cache(const member_info& m);
-  /// Sorted-position insert / erase keeping the cache valid across single
-  /// joins and removals; bulk removals (remove_node, evict_stale) just
-  /// invalidate instead. No-ops while the cache is invalid.
-  void insert_cache(const member_info& m);
-  void erase_cache(process_id pid);
+  /// `pid`'s lower bound in members_, using `hint` when it checks out.
+  [[nodiscard]] std::size_t position(process_id pid, std::size_t hint) const;
 
-  std::unordered_map<process_id, member_info> members_;
-  mutable std::vector<member_info> sorted_cache_;
-  mutable bool cache_valid_ = false;
+  std::vector<member_info> members_;  // sorted by pid
   std::uint64_t version_ = 0;
 
   /// Lower bound on every member's last_refresh, so the periodic eviction

@@ -9,7 +9,9 @@
 // should_send_alive(), fill_payload() and every ACCUSE sent.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -196,6 +198,116 @@ INSTANTIATE_TEST_SUITE_P(
                                          algorithm::omega_l_nophase),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u)),
     param_name);
+
+// omega_l::evaluate() ranks each contender before it probes the roster and
+// the FD. Check the result against a brute-force minimum over every
+// eligible, trusted contender, with the contender state tracked by a
+// reference model of on_alive_payload. Trust and roster changes are applied
+// to the world silently (no on_fd_transition), and the elector has no
+// members_version, so every evaluate() recomputes and must read them.
+class OmegaLBruteForce : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(OmegaLBruteForce, EvaluateIsTheMinimumOverEligibleTrustedContenders) {
+  rng r{GetParam()};
+  elector_world w;
+  // Late enough that no accusation time below predates time_origin.
+  w.clock.set(time_origin + sec(10));
+  omega_l e(w.context(self, /*candidate=*/true));
+  w.add_member(self);
+
+  struct contender {
+    node_id node;
+    incarnation inc;
+    time_point acc;
+  };
+  std::map<process_id, contender> model;
+  bool self_candidate = true;
+  int peer_wins = 0;
+  int self_wins = 0;
+  constexpr std::uint32_t kPeers = 24;  // peers 2..kPeers+1
+
+  for (int step = 0; step < 3000; ++step) {
+    w.clock.advance(msec(1 + static_cast<std::int64_t>(r.uniform_below(50))));
+    const std::uint32_t n = 2 + static_cast<std::uint32_t>(r.uniform_below(kPeers));
+    const process_id pid{n};
+    const node_id node{n};
+    switch (r.uniform_below(8)) {
+      case 0:
+      case 1:
+      case 2: {  // ALIVE payload, sometimes a withdrawal or a stale one
+        const incarnation inc = 1 + r.uniform_below(2);
+        const bool competing = r.bernoulli(0.85);
+        // Anywhere since the origin, so peers often outrank our own time.
+        const time_point acc =
+            time_origin + usec(static_cast<std::int64_t>(r.uniform_below(
+                              static_cast<std::uint64_t>(
+                                  (w.clock.now() - time_origin).count()))));
+        auto it = model.find(pid);
+        if (it == model.end() || inc >= it->second.inc) {
+          if (!competing) {
+            if (it != model.end()) model.erase(it);
+          } else if (it == model.end()) {
+            model.emplace(pid, contender{node, inc, acc});
+          } else {
+            it->second = {node, inc, std::max(it->second.acc, acc)};
+          }
+        }
+        e.on_alive_payload(node, inc,
+                           testing::payload_from(pid, acc, /*candidate=*/true,
+                                                 competing));
+        break;
+      }
+      case 3:  // silent trust flip
+        if (w.trusted.count(node) > 0) {
+          w.trusted.erase(node);
+        } else {
+          w.trusted.insert(node);
+        }
+        break;
+      case 4: {  // roster: join or re-incarnate with a random candidacy
+        w.remove_member(pid);
+        w.add_member(pid, /*candidate=*/r.bernoulli(0.7), 1 + r.uniform_below(2));
+        if (r.bernoulli(0.5)) w.distrust(pid);
+        break;
+      }
+      case 5:  // roster: leave
+        w.remove_member(pid);
+        break;
+      case 6:  // roster: candidate-flag flip
+        if (const auto* m = find_member(w.members, pid)) {
+          w.set_candidate(pid, !m->candidate);
+        }
+        break;
+      case 7:  // own candidacy flip (rarely)
+        if (r.bernoulli(0.1)) {
+          self_candidate = !self_candidate;
+          w.set_candidate(self, self_candidate);
+          e.set_candidate(self_candidate);
+        }
+        break;
+    }
+
+    std::optional<std::pair<time_point, process_id>> best;
+    if (self_candidate) best.emplace(e.self_accusation_time(), self);
+    for (const auto& [p, c] : model) {
+      const auto* m = find_member(w.members, p);
+      if (m == nullptr || !m->candidate || m->inc != c.inc) continue;
+      if (w.trusted.count(c.node) == 0) continue;
+      const std::pair<time_point, process_id> rank{c.acc, p};
+      if (!best || rank < *best) best = rank;
+    }
+    const std::optional<process_id> want =
+        best ? std::optional<process_id>(best->second) : std::nullopt;
+    ASSERT_EQ(e.evaluate(), want) << "step " << step;
+    if (want) ++(*want == self ? self_wins : peer_wins);
+  }
+  // Not a vacuous check: both we and the peers led a good share of steps.
+  EXPECT_GT(peer_wins, 1000);
+  EXPECT_GT(self_wins, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OmegaLBruteForce,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 }  // namespace
 }  // namespace omega::election

@@ -62,7 +62,7 @@ TEST(DuplicateDelivery, RepeatedHelloJoinsOnce) {
   dup_fixture f;
   for (int i = 0; i < 4; ++i) f.gm.on_hello(f.hello(1), f.sim.now());
   EXPECT_EQ(f.joined.size(), 1u);
-  EXPECT_EQ(f.gm.table(g1).members().size(), 2u);
+  EXPECT_EQ(f.gm.table(g1).members_view().size(), 2u);
 }
 
 TEST(DuplicateDelivery, RepeatedHelloAckJoinsOnce) {

@@ -3,6 +3,9 @@
 // reincarnation — driven with a hand-cranked simulator clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <tuple>
 #include <unordered_set>
 
 #include "membership/group_maintenance.hpp"
@@ -97,7 +100,7 @@ TEST(GroupMaintenance, HelloForUnknownGroupIgnored) {
   gm_fixture f;
   f.gm.local_join(g1, process_id{0}, true);
   f.gm.on_hello(f.hello_from(n1, 1, g2, process_id{1}), f.sim.now());
-  EXPECT_EQ(f.gm.table(g2).members().size(), 0u);
+  EXPECT_EQ(f.gm.table(g2).members_view().size(), 0u);
 }
 
 TEST(GroupMaintenance, ReplyRequestedHelloGetsSnapshotAck) {
@@ -265,8 +268,8 @@ TEST(GroupMaintenance, MultipleGroupsTrackedIndependently) {
   f.gm.local_join(g1, process_id{0}, true);
   f.gm.local_join(g2, process_id{0}, false);
   f.gm.on_hello(f.hello_from(n1, 1, g1, process_id{1}), f.sim.now());
-  EXPECT_EQ(f.gm.table(g1).members().size(), 2u);
-  EXPECT_EQ(f.gm.table(g2).members().size(), 1u);
+  EXPECT_EQ(f.gm.table(g1).members_view().size(), 2u);
+  EXPECT_EQ(f.gm.table(g2).members_view().size(), 1u);
   EXPECT_FALSE(f.gm.local_member(g2)->candidate);
 }
 
@@ -277,6 +280,149 @@ TEST(GroupMaintenance, StopSilencesPeriodicHello) {
   const auto before = f.broadcasts.size();
   f.sim.run_until(f.sim.now() + sec(30));
   EXPECT_EQ(f.broadcasts.size(), before);
+}
+
+// ---- HELLO_ACK run application ------------------------------------------
+
+/// Records every membership event in order; `on_join_hook` runs inside the
+/// joined callback *before* the event is logged, so a hook that re-enters
+/// the module exercises the callback's member_info across table changes.
+struct recording_fixture : gm_fixture {
+  using event = std::tuple<char, group_id, member_info>;
+  std::vector<event> log;
+  std::function<void(group_id, const member_info&)> on_join_hook;
+
+  recording_fixture() {
+    gm.set_events(group_maintenance::events{
+        .on_member_joined =
+            [this](group_id g, const member_info& m) {
+              if (on_join_hook) on_join_hook(g, m);
+              log.emplace_back('j', g, m);
+            },
+        .on_member_removed =
+            [this](group_id g, const member_info& m) {
+              log.emplace_back('r', g, m);
+            },
+        .on_member_reincarnated =
+            [this](group_id g, const member_info& m) {
+              log.emplace_back('i', g, m);
+            },
+    });
+  }
+
+  /// Applies `ack` whole, or as one single-entry ACK per entry (the
+  /// reference: every entry resolved and upserted on its own).
+  void apply(const proto::hello_ack_msg& ack, bool one_by_one) {
+    if (!one_by_one) {
+      gm.on_hello_ack(ack, sim.now());
+      return;
+    }
+    for (const auto& e : ack.entries) {
+      gm.on_hello_ack(proto::hello_ack_msg{ack.from, ack.inc, {e}}, sim.now());
+    }
+  }
+};
+
+node_id host(std::uint32_t pid) { return node_id{1000 + pid}; }
+
+proto::hello_ack_msg::entry ack_entry(group_id g, std::uint32_t pid,
+                                      incarnation inc = 1, bool candidate = true) {
+  return {g, process_id{pid}, host(pid), inc, candidate};
+}
+
+TEST(GroupMaintenance, HelloAckRunsMatchOneByOneApplication) {
+  const group_id foreign{3};
+  proto::hello_ack_msg seed;
+  seed.from = n1;
+  seed.inc = 1;
+  seed.entries = {ack_entry(g1, 3), ack_entry(g1, 6, 2), ack_entry(g1, 9),
+                  ack_entry(g2, 4)};
+  proto::hello_ack_msg ack;
+  ack.from = n2;
+  ack.inc = 1;
+  ack.entries = {
+      ack_entry(foreign, 1), ack_entry(foreign, 2),  // group we are not in
+      ack_entry(g1, 1),                              // join
+      ack_entry(g1, 3, 2),                           // reincarnation
+      ack_entry(g1, 5),                              // join
+      ack_entry(g1, 6, 1),                           // stale incarnation
+      ack_entry(g1, 8),                              // join
+      ack_entry(g1, 9, 1, false),                    // candidate flip
+      ack_entry(foreign, 7),
+      ack_entry(g2, 7), ack_entry(g2, 2),            // unsorted run
+      ack_entry(g2, 4, 2), ack_entry(g2, 1),
+      ack_entry(g1, 2), ack_entry(g1, 10),           // second run of g1
+  };
+
+  recording_fixture whole;
+  recording_fixture single;
+  for (recording_fixture* f : {&whole, &single}) {
+    f->gm.local_join(g1, process_id{0}, true);
+    f->gm.local_join(g2, process_id{0}, false);
+    f->gm.on_hello_ack(seed, f->sim.now());
+    f->log.clear();
+    f->apply(ack, /*one_by_one=*/f == &single);
+  }
+
+  EXPECT_EQ(whole.log, single.log);
+  for (const group_id g : {g1, g2, foreign}) {
+    EXPECT_EQ(whole.gm.table(g).members_view(), single.gm.table(g).members_view());
+  }
+  // The ACK exercised joins and reincarnations in both groups, and nothing
+  // of the foreign group was learned.
+  EXPECT_EQ(std::count_if(whole.log.begin(), whole.log.end(),
+                          [](const auto& e) { return std::get<0>(e) == 'i'; }),
+            2);
+  EXPECT_EQ(whole.gm.table(g1).size(), 9u);  // 0,1,2,3,5,6,8,9,10
+  EXPECT_EQ(whole.gm.table(g2).size(), 5u);  // 0,1,2,4,7
+  EXPECT_TRUE(whole.gm.table(foreign).empty());
+}
+
+TEST(GroupMaintenance, ReentrantJoinCallbackDuringHelloAck) {
+  // The joined callback re-enters the same group mid-run: once it inserts
+  // local rows in front of the run's cursor, once it leaves and re-joins
+  // the group outright. The ACK must still match one-by-one application,
+  // and every callback must see the row it was called for (under ASan,
+  // never a reference into the moved table).
+  proto::hello_ack_msg ack;
+  ack.from = n1;
+  ack.inc = 1;
+  for (std::uint32_t pid = 2; pid <= 40; pid += 2) ack.entries.push_back(ack_entry(g1, pid));
+
+  recording_fixture whole;
+  recording_fixture single;
+  for (recording_fixture* f : {&whole, &single}) {
+    f->on_join_hook = [f](group_id g, const member_info& m) {
+      if (m.node == n0) return;  // local rows: no re-entry
+      if (m.pid == process_id{8}) {
+        f->gm.local_join(g, process_id{3}, true);
+        f->gm.local_join(g, process_id{5}, true);
+      } else if (m.pid == process_id{16}) {
+        f->gm.local_leave(g, f->gm.local_member(g)->pid);
+        f->gm.local_join(g, process_id{1}, true);
+      }
+    };
+    f->gm.local_join(g1, process_id{0}, true);
+    f->log.clear();
+    f->apply(ack, /*one_by_one=*/f == &single);
+  }
+
+  EXPECT_EQ(whole.log, single.log);
+  EXPECT_EQ(whole.gm.table(g1).members_view(), single.gm.table(g1).members_view());
+  // Each remote join was reported with its own row, in ACK order.
+  std::vector<member_info> remote_joins;
+  for (const auto& [kind, g, m] : whole.log) {
+    if (kind == 'j' && m.node != n0) remote_joins.push_back(m);
+  }
+  ASSERT_EQ(remote_joins.size(), ack.entries.size());
+  for (std::size_t i = 0; i < remote_joins.size(); ++i) {
+    EXPECT_EQ(remote_joins[i].pid, ack.entries[i].pid);
+    EXPECT_EQ(remote_joins[i].node, ack.entries[i].node);
+  }
+  // After the re-join at pid 16 the fresh table holds the local pid 1 and
+  // the rest of the run (18..40).
+  EXPECT_EQ(whole.gm.table(g1).size(), 13u);
+  EXPECT_EQ(whole.gm.table(g1).members_view().front().pid, process_id{1});
 }
 
 }  // namespace

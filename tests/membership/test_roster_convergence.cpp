@@ -75,7 +75,7 @@ struct bus {
   [[nodiscard]] std::set<std::uint32_t> roster_of(std::size_t i,
                                                   group_id g) const {
     std::set<std::uint32_t> pids;
-    for (const auto& m : gms[i]->table(g).members()) pids.insert(m.pid.value());
+    for (const auto& m : gms[i]->table(g).members_view()) pids.insert(m.pid.value());
     return pids;
   }
 };
